@@ -7,9 +7,8 @@
 // automatically).
 //
 // This bench deliberately runs the *reference* configuration of the
-// engine (single worker, no reductions — the exact semantics of
-// run_exhaustive); bench_model_check benchmarks the optimised modes
-// against it.
+// engine (ModelCheckConfig::reference: single worker, no reductions);
+// bench_model_check benchmarks the optimised modes against it.
 #include <cstdio>
 
 #include "scenario/model_check.hpp"
@@ -52,18 +51,15 @@ int main(int argc, char** argv) {
   for (const auto& proto : opt.protocol_set()) {
     std::vector<std::string> row = {proto.name()};
     for (int k = 1; k <= max_k; ++k) {
-      // Reference engine configuration: run_exhaustive semantics, plus a
-      // progress meter for the long high-k sweeps.
-      ModelCheckConfig mc;
-      mc.base.protocol = proto;
-      mc.base.n_nodes = opt.n_nodes;
-      mc.base.errors = k;
-      if (opt.win_lo) mc.base.win_lo_rel = *opt.win_lo;
-      if (opt.win_hi) mc.base.win_hi_rel = *opt.win_hi;
-      mc.jobs = 1;
-      mc.dedup = false;
-      mc.symmetry = false;
-      mc.max_examples = 2;
+      // Reference engine configuration, plus a progress meter for the
+      // long high-k sweeps.
+      ExhaustiveConfig base;
+      base.protocol = proto;
+      base.n_nodes = opt.n_nodes;
+      base.errors = k;
+      if (opt.win_lo) base.win_lo_rel = *opt.win_lo;
+      if (opt.win_hi) base.win_hi_rel = *opt.win_hi;
+      const ModelCheckConfig mc = ModelCheckConfig::reference(base, 2);
 
       ModelCheckResult res;
       if (opt.progress) {

@@ -7,11 +7,8 @@
 #include <cstdio>
 #include <string>
 
-#include "analysis/tagged.hpp"
-#include "core/network.hpp"
 #include "fault/scripted.hpp"
-#include "frame/encoder.hpp"
-#include "scenario/exhaustive.hpp"
+#include "scenario/model_check.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcan;
@@ -38,7 +35,8 @@ int main(int argc, char** argv) {
   cfg.protocol = proto;
   cfg.n_nodes = 3;
   cfg.errors = k;
-  auto res = run_exhaustive(cfg, 1);
+  const ModelCheckResult res =
+      run_model_check(ModelCheckConfig::reference(cfg, 1));
   std::printf("%s\n\n", res.summary().c_str());
 
   if (res.examples.empty()) {
@@ -55,16 +53,14 @@ int main(int argc, char** argv) {
   // Re-run that exact pattern with tracing on.
   Network net(cfg.n_nodes, proto);
   net.enable_trace();
-  const Frame frame = make_tagged_frame(0x100, MsgKind::Data, MessageKey{0, 1});
-  const int eof_start =
-      wire_length(frame, proto.eof_bits()) - proto.eof_bits();
+  const int eof_start = model_check_eof_start(proto);
   ScriptedFaults inj;
   for (const auto& [node, pos] : ce.flips) {
     inj.add(FaultTarget::at_time(node, static_cast<BitTime>(eof_start + pos)));
   }
   net.set_injector(inj);
-  net.node(0).enqueue(frame);
-  net.run_until_quiet(30000);
+  net.node(0).enqueue(probe_frame());
+  const ProbeCounts counts = finish_probe(net, nullptr, 30000);
 
   const BitTime from = static_cast<BitTime>(eof_start > 8 ? eof_start - 8 : 0);
   std::printf("%s\n", net.trace()
@@ -73,10 +69,10 @@ int main(int argc, char** argv) {
                           .c_str());
   std::printf("node 0 = transmitter; deliveries:");
   for (int i = 1; i < net.size(); ++i) {
-    std::printf(" node%d=%zu", i, net.deliveries(i).size());
+    std::printf(" node%d=%d", i,
+                counts.deliveries[static_cast<std::size_t>(i)]);
   }
-  std::printf("; tx attempts=%zu successes=%zu\n",
-              net.log().count(EventKind::SofSent, 0),
-              net.log().count(EventKind::TxSuccess, 0));
+  std::printf("; tx attempts=%zu successes=%d\n",
+              net.log().count(EventKind::SofSent, 0), counts.tx_success);
   return 0;
 }

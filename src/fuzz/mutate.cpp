@@ -5,7 +5,7 @@
 
 #include "analysis/tagged.hpp"
 #include "frame/encoder.hpp"
-#include "scenario/exhaustive.hpp"
+#include "scenario/model_check.hpp"
 
 namespace mcan {
 

@@ -9,16 +9,15 @@ namespace mcan {
 namespace {
 
 /// One live trajectory: bus state, its private injector (likelihood state
-/// travels with it), branch weight, and the delivery/TxSuccess counts
-/// accumulated by *ancestors* (clone_runtime_state does not copy journals,
-/// so counts are carried as offsets across splits).
+/// travels with it), branch weight, and the counts accumulated by the
+/// prefix and by *ancestors* (clone_bus does not copy journals, so counts
+/// are carried as offsets across splits).
 struct Particle {
   std::unique_ptr<Network> net;
   std::unique_ptr<BiasedFaults> inj;
   double weight = 1.0;
   int level = 0;
-  std::vector<int> delivery_offsets;
-  int tx_offset = 0;
+  ProbeCounts offset;
 };
 
 int level_of(const BiasedFaults& inj) {
@@ -35,23 +34,14 @@ Particle clone_particle(const ProbePlan& plan, const Particle& src,
                         Rng child_rng) {
   Particle p;
   p.net = std::make_unique<Network>(plan.n_nodes, plan.protocol);
-  for (int i = 0; i < plan.n_nodes; ++i) {
-    p.net->node(i).clone_runtime_state(src.net->node(i));
-  }
-  p.net->sim().warp_to(src.net->sim().now());
+  clone_bus(*p.net, *src.net);
   p.inj = std::make_unique<BiasedFaults>(*src.inj);
   p.inj->reseed(child_rng);
   p.net->set_injector(*p.inj);
   p.level = src.level;
-  // Fold the parent's own counts into the child's offsets: the child's
+  // Fold the parent's own counts into the child's offset: the child's
   // fresh journals restart at zero from the clone point.
-  p.delivery_offsets = src.delivery_offsets;
-  for (int i = 0; i < plan.n_nodes; ++i) {
-    p.delivery_offsets[static_cast<std::size_t>(i)] +=
-        static_cast<int>(src.net->deliveries(i).size());
-  }
-  p.tx_offset = src.tx_offset +
-                static_cast<int>(src.net->log().count(EventKind::TxSuccess, 0));
+  p.offset = read_counts(*src.net, &src.offset);
   return p;
 }
 
@@ -91,7 +81,7 @@ SplitTrialResult run_split_trial(const ProbePlan& plan,
                                               plan.eof_start, rng);
     root.inj->account_clean_prefix(plan.prefix_draws());
     root.net->set_injector(*root.inj);
-    root.delivery_offsets.assign(static_cast<std::size_t>(plan.n_nodes), 0);
+    root.offset = prefix.counts;
     stack.push_back(std::move(root));
   }
 
@@ -130,20 +120,9 @@ SplitTrialResult run_split_trial(const ProbePlan& plan,
     if (split_away) continue;
 
     // Window exhausted: no further crossings possible.  Run to quiescence
-    // and classify with ancestor offsets folded in.
-    const bool quiet = p.net->run_until_quiet(plan.quiet_budget);
-    std::vector<int> deliveries(static_cast<std::size_t>(plan.n_nodes), 0);
-    for (int i = 0; i < plan.n_nodes; ++i) {
-      deliveries[static_cast<std::size_t>(i)] =
-          static_cast<int>(p.net->deliveries(i).size()) +
-          p.delivery_offsets[static_cast<std::size_t>(i)] +
-          prefix.deliveries[static_cast<std::size_t>(i)];
-    }
-    const int tx_success =
-        static_cast<int>(p.net->log().count(EventKind::TxSuccess, 0)) +
-        p.tx_offset + prefix.tx_success;
-    const TrialOutcome out =
-        classify_trial(plan.n_nodes, deliveries, tx_success, !quiet);
+    // and judge with the prefix and ancestor offsets folded in.
+    const Verdict out =
+        finish_probe(*p.net, &p.offset, plan.quiet_budget).verdict();
 
     ++res.leaves;
     if (out.timeout) {

@@ -11,13 +11,12 @@
 //            disturbed inside the window)
 //
 // When a trajectory first reaches a new level it is *split*: the whole
-// machine state of the bus is cloned (CanController::clone_runtime_state
-// + Simulator::warp_to — the model checker's prefix-cloning machinery,
-// applied mid-window) into `factor` children, each continuing with an
-// independent random stream and 1/factor of the parent's weight.  Total
-// weight is conserved at every split, so the estimator stays unbiased
-// while the effort concentrates on trajectories that already crossed the
-// rare thresholds.  Splitting runs on top of the biased proposal (the
+// machine state of the bus is cloned (clone_bus in scenario/probe.hpp —
+// the model checker's prefix-cloning machinery, applied mid-window) into
+// `factor` children, each continuing with an independent random stream
+// and 1/factor of the parent's weight.  Total weight is conserved at
+// every split, so the estimator stays unbiased while the effort
+// concentrates on trajectories that already crossed the rare thresholds.  Splitting runs on top of the biased proposal (the
 // likelihood ratio still corrects to the nominal measure), so the two
 // variance-reduction mechanisms compose — and give an estimate with
 // *different* error structure than plain importance sampling, which the

@@ -2,9 +2,6 @@
 
 #include <stdexcept>
 
-#include "analysis/tagged.hpp"
-#include "scenario/model_check.hpp"
-
 namespace mcan {
 
 ProbePlan ProbePlan::make(const ProtocolParams& protocol, int n_nodes,
@@ -24,7 +21,7 @@ ProbePlan ProbePlan::make(const ProtocolParams& protocol, int n_nodes,
   bias.resolve(protocol);
   bias.validate();
   plan.bias = bias;
-  plan.frame = model_check_frame();
+  plan.frame = probe_frame();
   plan.eof_start = model_check_eof_start(protocol);
   plan.quiet_budget = quiet_budget;
   if (bias.base <= 0.0) {
@@ -44,53 +41,6 @@ ProbePlan ProbePlan::make(const ProtocolParams& protocol, int n_nodes,
   return plan;
 }
 
-PrefixState::PrefixState(const ProbePlan& plan)
-    : net(plan.n_nodes, plan.protocol) {
-  net.node(0).enqueue(plan.frame);
-  while (net.sim().now() < plan.t_first) net.sim().step();
-  deliveries.assign(static_cast<std::size_t>(plan.n_nodes), 0);
-  for (int i = 0; i < plan.n_nodes; ++i) {
-    deliveries[static_cast<std::size_t>(i)] =
-        static_cast<int>(net.deliveries(i).size());
-  }
-  tx_success = static_cast<int>(net.log().count(EventKind::TxSuccess, 0));
-}
-
-TrialOutcome classify_trial(int n_nodes, const std::vector<int>& deliveries,
-                            int tx_success, bool timeout) {
-  TrialOutcome out;
-  if (timeout) {
-    out.timeout = true;
-    return out;
-  }
-  bool any = false;
-  bool all = true;
-  for (int i = 1; i < n_nodes; ++i) {
-    const int c = deliveries[static_cast<std::size_t>(i)];
-    if (c > 0) any = true;
-    if (c == 0) all = false;
-    if (c > 1) out.dup = true;
-  }
-  const bool sender_has = tx_success > 0;
-  out.imo = (any || sender_has) && !all;
-  out.loss = !any && sender_has;
-  return out;
-}
-
-std::unique_ptr<Network> make_trial_bus(const ProbePlan& plan,
-                                        const PrefixState* prefix) {
-  auto net = std::make_unique<Network>(plan.n_nodes, plan.protocol);
-  if (prefix) {
-    for (int i = 0; i < plan.n_nodes; ++i) {
-      net->node(i).clone_runtime_state(prefix->net.node(i));
-    }
-    net->sim().warp_to(plan.t_first);
-  } else {
-    net->node(0).enqueue(plan.frame);
-  }
-  return net;
-}
-
 TrialOutcome run_biased_trial(const ProbePlan& plan, const PrefixState* prefix,
                               Rng rng) {
   if (!prefix && plan.t_first != 0) {
@@ -101,22 +51,10 @@ TrialOutcome run_biased_trial(const ProbePlan& plan, const PrefixState* prefix,
   if (prefix) inj.account_clean_prefix(plan.prefix_draws());
   net->set_injector(inj);
 
-  const bool quiet = net->run_until_quiet(plan.quiet_budget);
-
-  std::vector<int> deliveries(static_cast<std::size_t>(plan.n_nodes), 0);
-  for (int i = 0; i < plan.n_nodes; ++i) {
-    deliveries[static_cast<std::size_t>(i)] =
-        static_cast<int>(net->deliveries(i).size()) +
-        (prefix ? prefix->deliveries[static_cast<std::size_t>(i)] : 0);
-  }
-  const int tx_success =
-      static_cast<int>(net->log().count(EventKind::TxSuccess, 0)) +
-      (prefix ? prefix->tx_success : 0);
-
-  TrialOutcome out =
-      classify_trial(plan.n_nodes, deliveries, tx_success, !quiet);
-  out.llr = inj.llr();
-  return out;
+  const Verdict v = finish_probe(*net, prefix ? &prefix->counts : nullptr,
+                                 plan.quiet_budget)
+                        .verdict();
+  return {v, inj.llr()};
 }
 
 }  // namespace mcan

@@ -1,35 +1,28 @@
-// One rare-event trial: the probe scenario (the model checker's tagged
-// frame, transmitted by node 0 to N-1 receivers), executed under the
-// importance-sampling injector and classified with the reference
-// inconsistency semantics (IMO / duplicate / total loss / timeout).
+// One rare-event trial: the probe bus (scenario/probe.hpp: the model
+// checker's tagged frame, transmitted by node 0 to N-1 receivers),
+// executed under the importance-sampling injector and judged with the
+// delivery verdict (analysis/verdict.hpp: IMO / duplicate / total loss /
+// timeout), the same function the model checker and the DSL use.
 //
-// Trials in tail-only mode share a clean-prefix template: one bus is
-// stepped (fault-free) to the start of the flip window, and every trial
-// starts from a cloned copy (CanController::clone_runtime_state +
-// Simulator::warp_to) — the same machinery the model checker uses for
-// prefix cloning.  The skipped Bernoulli draws are folded into the
-// trial's likelihood ratio analytically, so the estimator is exactly the
-// one a full from-bit-0 simulation would produce for tail-window events.
+// Trials in tail-only mode share a clean-prefix template (PrefixState):
+// one bus is stepped (fault-free) to the start of the flip window, and
+// every trial starts from a cloned copy — the same machinery the model
+// checker uses for prefix cloning.  The skipped Bernoulli draws are folded
+// into the trial's likelihood ratio analytically, so the estimator is
+// exactly the one a full from-bit-0 simulation would produce for
+// tail-window events.
 #pragma once
 
-#include <memory>
-#include <vector>
-
-#include "core/network.hpp"
 #include "rare/bias.hpp"
+#include "scenario/probe.hpp"
 
 namespace mcan {
 
-/// Per-campaign constants: the probe frame, its EOF anchor, the resolved
-/// bias profile and the derived cloning cut.
-struct ProbePlan {
-  ProtocolParams protocol;
-  int n_nodes = 32;
+/// Per-campaign constants: the probe setup (frame, EOF anchor, cloning
+/// cut) plus the resolved bias profile.
+struct ProbePlan : ProbeSetup {
   double ber_star = 0;       ///< nominal per-node per-bit probability
   BiasProfile bias;          ///< resolved window + proposal
-  Frame frame;               ///< the tagged probe frame
-  int eof_start = 0;         ///< absolute bit of the first EOF bit
-  BitTime t_first = 0;       ///< prefix-clone cut (0 = simulate from bit 0)
   BitTime quiet_budget = 30000;
 
   /// Resolve the plan: probe frame, EOF anchor, bias window defaults, and
@@ -46,29 +39,10 @@ struct ProbePlan {
   }
 };
 
-/// The shared clean-prefix template (immutable after construction; safe to
-/// clone from concurrently).
-struct PrefixState {
-  Network net;
-  std::vector<int> deliveries;  ///< per node, accumulated in the prefix
-  int tx_success = 0;
-
-  explicit PrefixState(const ProbePlan& plan);
+/// A judged trial and its importance weight.
+struct TrialOutcome : Verdict {
+  double llr = 0;  ///< log importance weight of the whole run
 };
-
-/// Reference classification of a finished run (same semantics as the model
-/// checker and bench_imo_rate): deliveries are per-receiver counts.
-struct TrialOutcome {
-  bool imo = false;      ///< someone (or the sender) has it, someone lacks it
-  bool dup = false;      ///< some receiver delivered it twice
-  bool loss = false;     ///< sender believes success, nobody has it
-  bool timeout = false;  ///< the bus did not quiesce within the budget
-  double llr = 0;        ///< log importance weight of the whole run
-};
-
-[[nodiscard]] TrialOutcome classify_trial(int n_nodes,
-                                          const std::vector<int>& deliveries,
-                                          int tx_success, bool timeout);
 
 /// Run one importance-sampled trial.  `prefix` may be null only when
 /// plan.t_first == 0 (full simulation from bit 0).  `rng` is the trial's
@@ -77,11 +51,5 @@ struct TrialOutcome {
 [[nodiscard]] TrialOutcome run_biased_trial(const ProbePlan& plan,
                                             const PrefixState* prefix,
                                             Rng rng);
-
-/// Build a network positioned at the plan's clone cut: fresh bus cloned
-/// from the template (or a fresh bus with the probe enqueued when there is
-/// no prefix).  Shared by the plain trial runner and the splitting engine.
-[[nodiscard]] std::unique_ptr<Network> make_trial_bus(
-    const ProbePlan& plan, const PrefixState* prefix);
 
 }  // namespace mcan

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <thread>
 
-#include "scenario/exhaustive.hpp"
+#include "scenario/model_check.hpp"
 
 namespace mcan {
 

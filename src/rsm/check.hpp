@@ -1,5 +1,5 @@
 // Bounded model checking of the consensus properties — the rsm analogue of
-// scenario/exhaustive.hpp, one layer up.
+// scenario/model_check.hpp, one layer up.
 //
 // For a given base scenario (protocol, node count, rsm workload),
 // enumerate every combination of up to `max_k` view-flips over the

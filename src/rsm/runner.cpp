@@ -6,6 +6,7 @@
 #include "analysis/tagged.hpp"
 #include "attack/injector.hpp"
 #include "fault/scripted.hpp"
+#include "scenario/probe.hpp"
 
 namespace mcan {
 
@@ -142,13 +143,10 @@ RsmRunResult run_rsm_scenario(const ScenarioSpec& spec,
   res.base.outcome.protocol = spec.protocol;
   res.base.outcome.n_nodes = spec.n_nodes;
   res.base.outcome.tx_node = 0;
-  res.base.outcome.deliveries.assign(static_cast<std::size_t>(spec.n_nodes),
-                                     0);
-  for (int i = 0; i < spec.n_nodes; ++i) {
-    res.base.outcome.deliveries[static_cast<std::size_t>(i)] =
-        static_cast<int>(net.deliveries(i).size());
-  }
-  res.base.outcome.tx_crashed = spec.crash.has_value();
+  ProbeCounts counts = read_counts(net);
+  res.base.outcome.deliveries = std::move(counts.deliveries);
+  res.base.outcome.tx_success = counts.tx_success;
+  res.base.outcome.tx_crashed = spec.crash && spec.crash->first == 0;
   res.base.outcome.faults_all_fired = inj.all_fired();
   res.base.outcome.notes.push_back("rsm: " + res.rsm.summary());
 

@@ -43,7 +43,7 @@ struct CampaignResult {
   int trials = 0;
   int imo = 0;           ///< trials violating agreement (incl. vs the sender)
   int double_rx = 0;     ///< trials where some receiver got duplicates
-  int total_loss = 0;    ///< sender succeeded/crashed but nobody delivered
+  int total_loss = 0;    ///< sender holds it, nobody delivered (also an IMO)
   int retransmissions = 0;  ///< total retransmission events
   int timeouts = 0;      ///< bus failed to quiesce (should stay 0)
 

@@ -11,6 +11,7 @@
 #include "analysis/tagged.hpp"
 #include "attack/injector.hpp"
 #include "core/network.hpp"
+#include "scenario/probe.hpp"
 
 namespace mcan {
 
@@ -435,16 +436,12 @@ DslRunResult run_scenario(const ScenarioSpec& spec,
   res.outcome.protocol = spec.protocol;
   res.outcome.tx_node = 0;
   res.outcome.n_nodes = spec.n_nodes;
-  res.outcome.deliveries.assign(static_cast<std::size_t>(spec.n_nodes), 0);
-  for (int i = 0; i < spec.n_nodes; ++i) {
-    res.outcome.deliveries[static_cast<std::size_t>(i)] =
-        static_cast<int>(net.deliveries(i).size());
-  }
-  res.outcome.tx_success =
-      static_cast<int>(net.log().count(EventKind::TxSuccess, 0));
+  ProbeCounts counts = read_counts(net);
+  res.outcome.deliveries = std::move(counts.deliveries);
+  res.outcome.tx_success = counts.tx_success;
   res.outcome.tx_attempts =
       static_cast<int>(net.log().count(EventKind::SofSent, 0));
-  res.outcome.tx_crashed = spec.crash.has_value();
+  res.outcome.tx_crashed = spec.crash && spec.crash->first == 0;
   res.outcome.faults_all_fired = inj.all_fired();
   res.outcome.trace = net.trace().render(net.labels());
 

@@ -33,8 +33,9 @@
 
 #include "analysis/invariants.hpp"
 #include "analysis/properties.hpp"
+#include "analysis/verdict.hpp"
 #include "attack/attack.hpp"
-#include "scenario/figures.hpp"
+#include "fault/scripted.hpp"
 
 namespace mcan {
 

@@ -6,17 +6,13 @@
 
 #include "analysis/properties.hpp"
 #include "analysis/tagged.hpp"
-#include "frame/encoder.hpp"
+#include "scenario/probe.hpp"
 
 namespace mcan {
 
 namespace {
 
 constexpr BitTime kQuiesceBudget = 20000;
-
-Frame scenario_frame() {
-  return make_tagged_frame(0x100, MsgKind::Data, MessageKey{0, 1});
-}
 
 /// First time node `node` emitted `kind`, or kNoTime.
 BitTime first_event_time(const EventLog& log, EventKind kind, NodeId node) {
@@ -49,50 +45,6 @@ std::string interesting_notes(const EventLog& log) {
 
 }  // namespace
 
-bool ScenarioOutcome::imo() const {
-  bool some = false;
-  bool none = false;
-  for (std::size_t i = 0; i < deliveries.size(); ++i) {
-    if (static_cast<NodeId>(i) == tx_node) continue;
-    (deliveries[i] > 0 ? some : none) = true;
-  }
-  return some && none;
-}
-
-bool ScenarioOutcome::double_reception() const {
-  for (std::size_t i = 0; i < deliveries.size(); ++i) {
-    if (static_cast<NodeId>(i) != tx_node && deliveries[i] > 1) return true;
-  }
-  return false;
-}
-
-bool ScenarioOutcome::consistent_single_delivery() const {
-  for (std::size_t i = 0; i < deliveries.size(); ++i) {
-    if (static_cast<NodeId>(i) != tx_node && deliveries[i] != 1) return false;
-  }
-  return true;
-}
-
-std::string ScenarioOutcome::summary() const {
-  std::string s = name + " [" + protocol.name() + "]: deliveries per node =";
-  for (std::size_t i = 0; i < deliveries.size(); ++i) {
-    s += ' ';
-    if (static_cast<NodeId>(i) == tx_node) {
-      s += "tx";
-    } else {
-      s += std::to_string(deliveries[i]);
-    }
-  }
-  s += "; tx attempts=" + std::to_string(tx_attempts);
-  s += " successes=" + std::to_string(tx_success);
-  if (tx_crashed) s += " (tx crashed)";
-  if (imo()) s += " => INCONSISTENT MESSAGE OMISSION";
-  else if (double_reception()) s += " => DOUBLE RECEPTION";
-  else if (consistent_single_delivery()) s += " => consistent (exactly once)";
-  else s += " => consistent";
-  return s;
-}
-
 ScenarioOutcome run_eof_scenario(std::string name, const ProtocolParams& protocol,
                                  int n_nodes, std::vector<FaultTarget> faults,
                                  bool crash_tx_before_retransmit) {
@@ -102,7 +54,7 @@ ScenarioOutcome run_eof_scenario(std::string name, const ProtocolParams& protoco
     if (want_trace) net.enable_trace();
     ScriptedFaults inj(faults);
     net.set_injector(inj);
-    net.node(0).enqueue(scenario_frame());
+    net.node(0).enqueue(probe_frame());
     if (crash_at) net.sim().schedule_crash(0, *crash_at);
     net.run_until_quiet(kQuiesceBudget);
 
@@ -111,22 +63,16 @@ ScenarioOutcome run_eof_scenario(std::string name, const ProtocolParams& protoco
 
     if (out != nullptr) {
       out->n_nodes = n_nodes;
-      out->deliveries.assign(static_cast<std::size_t>(n_nodes), 0);
-      for (int i = 0; i < n_nodes; ++i) {
-        out->deliveries[static_cast<std::size_t>(i)] =
-            static_cast<int>(net.deliveries(i).size());
-      }
-      out->tx_success =
-          static_cast<int>(net.log().count(EventKind::TxSuccess, 0));
+      ProbeCounts counts = read_counts(net);
+      out->deliveries = std::move(counts.deliveries);
+      out->tx_success = counts.tx_success;
       out->tx_attempts =
           static_cast<int>(net.log().count(EventKind::SofSent, 0));
       out->tx_crashed = crash_at.has_value();
       out->faults_all_fired = inj.all_fired();
       out->notes.push_back(interesting_notes(net.log()));
       if (want_trace) {
-        const Frame f = scenario_frame();
-        const int eof_start = wire_length(f, protocol.eof_bits()) -
-                              protocol.eof_bits();
+        const int eof_start = model_check_eof_start(protocol);
         const BitTime from = eof_start > 8 ? static_cast<BitTime>(eof_start - 8) : 0;
         const BitTime to =
             std::min<BitTime>(net.sim().now(), from + 70);
@@ -214,7 +160,7 @@ int find_crc_error_body_bit(const ProtocolParams& p, int n_nodes) {
     t.index = idx;
     inj.add(t);
     net.set_injector(inj);
-    net.node(0).enqueue(scenario_frame());
+    net.node(0).enqueue(probe_frame());
     net.run_until_quiet(kQuiesceBudget);
     for (const Event& e : net.log().events()) {
       if (e.node == 1 && e.kind == EventKind::ErrorDetected &&
@@ -251,7 +197,7 @@ std::vector<Fig4Row> run_fig4(int m) {
     ScriptedFaults inj;
     inj.add(fault);
     net.set_injector(inj);
-    net.node(0).enqueue(scenario_frame());
+    net.node(0).enqueue(probe_frame());
     net.run_until_quiet(kQuiesceBudget);
 
     // Only the first attempt characterises the behaviour; a retransmission
@@ -394,7 +340,7 @@ ScenarioOutcome run_error_passive_scenario(bool switch_off_at_warning) {
   inj.add(t);
   net.set_injector(inj);
 
-  net.node(0).enqueue(scenario_frame());
+  net.node(0).enqueue(probe_frame());
   net.run_until_quiet(kQuiesceBudget);
 
   ScenarioOutcome out;
@@ -404,12 +350,9 @@ ScenarioOutcome run_error_passive_scenario(bool switch_off_at_warning) {
   out.protocol = p;
   out.tx_node = 0;
   out.n_nodes = 4;
-  out.deliveries.assign(4, 0);
-  for (int i = 0; i < 4; ++i) {
-    out.deliveries[static_cast<std::size_t>(i)] =
-        static_cast<int>(net.deliveries(i).size());
-  }
-  out.tx_success = static_cast<int>(net.log().count(EventKind::TxSuccess, 0));
+  ProbeCounts counts = read_counts(net);
+  out.deliveries = std::move(counts.deliveries);
+  out.tx_success = counts.tx_success;
   out.tx_attempts = static_cast<int>(net.log().count(EventKind::SofSent, 0));
   out.faults_all_fired = true;
   out.notes.push_back(interesting_notes(net.log()));

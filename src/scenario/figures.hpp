@@ -12,37 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "analysis/verdict.hpp"
 #include "core/network.hpp"
 #include "core/protocol.hpp"
 #include "fault/scripted.hpp"
 
 namespace mcan {
-
-struct ScenarioOutcome {
-  std::string name;
-  ProtocolParams protocol;
-  int n_nodes = 0;
-  NodeId tx_node = 0;
-
-  std::vector<int> deliveries;  ///< per node: copies of the frame delivered
-  int tx_success = 0;           ///< TxSuccess events at the transmitter
-  int tx_attempts = 0;          ///< SofSent events at the transmitter
-  bool tx_crashed = false;
-  bool faults_all_fired = false;  ///< scenario script sanity
-  std::string trace;              ///< rendered timeline
-  std::vector<std::string> notes;
-
-  /// Inconsistent message omission among receivers: some got it, some never.
-  [[nodiscard]] bool imo() const;
-
-  /// Any receiver delivered the frame more than once.
-  [[nodiscard]] bool double_reception() const;
-
-  /// Every receiver delivered exactly once.
-  [[nodiscard]] bool consistent_single_delivery() const;
-
-  [[nodiscard]] std::string summary() const;
-};
 
 /// Generic engine: one transmitter (node 0) sending one frame over
 /// `n_nodes` nodes with scripted disturbances.  If

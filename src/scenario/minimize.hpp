@@ -20,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-#include "scenario/exhaustive.hpp"
+#include "scenario/model_check.hpp"
 
 namespace mcan {
 

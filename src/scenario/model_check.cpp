@@ -10,21 +10,79 @@
 #include <thread>
 #include <unordered_map>
 
-#include "analysis/tagged.hpp"
 #include "core/network.hpp"
 #include "fault/scripted.hpp"
-#include "frame/encoder.hpp"
 #include "util/mutex.hpp"
 
 namespace mcan {
 
-Frame model_check_frame() {
-  return make_tagged_frame(0x100, MsgKind::Data, MessageKey{0, 1});
+int ExhaustiveConfig::window_hi() const {
+  if (win_hi_rel) return *win_hi_rel;
+  if (protocol.variant == Variant::MajorCan) return 3 * protocol.m + 5;
+  return protocol.eof_bits() + 3;  // EOF + intermission
 }
 
-int model_check_eof_start(const ProtocolParams& protocol) {
-  const Frame frame = model_check_frame();
-  return wire_length(frame, protocol.eof_bits()) - protocol.eof_bits();
+void ExhaustiveConfig::validate() const {
+  protocol.validate();
+  if (n_nodes < 2 || n_nodes > 16) {
+    throw std::invalid_argument(
+        "exhaustive: n_nodes must be in [2, 16], got " +
+        std::to_string(n_nodes));
+  }
+  if (errors < 1) {
+    throw std::invalid_argument(
+        "exhaustive: error budget k must be >= 1, got " +
+        std::to_string(errors));
+  }
+  const int hi = window_hi();
+  if (win_lo_rel > hi) {
+    throw std::invalid_argument(
+        "exhaustive: empty flip window: win_lo_rel (" +
+        std::to_string(win_lo_rel) + ") > win_hi_rel (" + std::to_string(hi) +
+        ")");
+  }
+  // The EOF-relative grid only addresses bits of the probe frame and its
+  // end-game; beyond the delimiter + intermission everything is bus-idle
+  // and a flip would hit the retransmission instead of the episode the
+  // sweep reasons about.
+  const int end_horizon =
+      (protocol.variant == Variant::MajorCan ? protocol.sample_end()
+                                             : protocol.eof_bits() - 1) +
+      protocol.error_delim_total() + 3;
+  if (hi > end_horizon) {
+    throw std::invalid_argument(
+        "exhaustive: win_hi_rel (" + std::to_string(hi) +
+        ") is past the end-game horizon (" + std::to_string(end_horizon) +
+        ") for " + protocol.name());
+  }
+  const int eof_start = model_check_eof_start(protocol);
+  if (win_lo_rel < -eof_start) {
+    throw std::invalid_argument(
+        "exhaustive: win_lo_rel (" + std::to_string(win_lo_rel) +
+        ") starts before the probe frame (EOF-relative " +
+        std::to_string(-eof_start) + " is bit time 0)");
+  }
+}
+
+std::string Counterexample::to_string() const {
+  std::string s = "flips:";
+  for (const auto& [node, pos] : flips) {
+    s += " (node " + std::to_string(node) + ", EOF" +
+         (pos >= 0 ? "+" : "") + std::to_string(pos) + ")";
+  }
+  s += " => " + outcome;
+  return s;
+}
+
+ModelCheckConfig ModelCheckConfig::reference(const ExhaustiveConfig& base,
+                                             int max_examples) {
+  ModelCheckConfig mc;
+  mc.base = base;
+  mc.jobs = 1;
+  mc.dedup = false;
+  mc.symmetry = false;
+  mc.max_examples = max_examples;
+  return mc;
 }
 
 void ModelCheckConfig::validate() const {
@@ -60,60 +118,11 @@ std::string ModelCheckResult::summary() const {
 
 namespace {
 
-struct CaseOutcome {
-  bool imo = false;
-  bool dup = false;
-  bool loss = false;
-  bool timeout = false;
-  std::string describe;
-
-  [[nodiscard]] bool violation() const {
-    return imo || dup || loss || timeout;
-  }
-};
-
-/// Reference classification, shared by every execution path.  `deliveries`
-/// holds the final per-node delivery counts (index 0 = transmitter,
-/// ignored); `tx_success` the transmitter's TxSuccess count.
-CaseOutcome classify(int n_nodes, const std::vector<int>& deliveries,
-                     int tx_success, bool timeout) {
-  CaseOutcome out;
-  if (timeout) {
-    out.timeout = true;
-    out.describe = "TIMEOUT";
-    return out;
-  }
-  bool any = false;
-  bool all = true;
-  std::string counts;
-  for (int i = 1; i < n_nodes; ++i) {
-    const int c = deliveries[static_cast<std::size_t>(i)];
-    counts += (counts.empty() ? "" : " ") + std::to_string(c);
-    if (c > 0) any = true;
-    if (c == 0) all = false;
-    if (c > 1) out.dup = true;
-  }
-  const bool sender_has = tx_success > 0;
-  out.imo = (any || sender_has) && !all;
-  out.loss = !any && sender_has;
-
-  if (out.imo) {
-    out.describe = "IMO: deliveries " + counts;
-  } else if (out.dup) {
-    out.describe = "double reception: deliveries " + counts;
-  } else if (out.loss) {
-    out.describe = "total loss (tx believed success)";
-  }
-  return out;
-}
-
-/// Per-sweep constants, computed once.
-struct SweepPlan {
+/// Per-sweep constants, computed once.  The probe setup's t_first is the
+/// absolute time of the earliest possible flip.
+struct SweepPlan : ProbeSetup {
   ExhaustiveConfig cfg;  ///< window resolved
-  Frame frame;
-  int eof_start = 0;
   std::vector<std::pair<NodeId, int>> slots;
-  BitTime t_first = 0;  ///< absolute time of the earliest possible flip
   BitTime t_cut = 0;    ///< first bit strictly after the flip window
   long long total_combos = 0;
 };
@@ -127,12 +136,20 @@ long long n_choose_k(std::size_t n, int k) {
   return r;
 }
 
-SweepPlan make_plan(const ExhaustiveConfig& cfg) {
+/// The probe setup for `cfg` (clone cut still at bit 0).
+SweepPlan make_probe(const ExhaustiveConfig& cfg) {
   SweepPlan plan;
-  plan.cfg = cfg;
-  plan.cfg.win_hi_rel = cfg.window_hi();
-  plan.frame = model_check_frame();
+  plan.protocol = cfg.protocol;
+  plan.n_nodes = cfg.n_nodes;
+  plan.frame = probe_frame();
   plan.eof_start = model_check_eof_start(cfg.protocol);
+  plan.cfg = cfg;
+  return plan;
+}
+
+SweepPlan make_plan(const ExhaustiveConfig& cfg) {
+  SweepPlan plan = make_probe(cfg);
+  plan.cfg.win_hi_rel = cfg.window_hi();
   for (int n = 0; n < cfg.n_nodes; ++n) {
     for (int pos = cfg.win_lo_rel; pos <= *plan.cfg.win_hi_rel; ++pos) {
       plan.slots.emplace_back(static_cast<NodeId>(n), pos);
@@ -146,82 +163,49 @@ SweepPlan make_plan(const ExhaustiveConfig& cfg) {
 
 constexpr BitTime kQuietBudget = 30000;
 
-/// Reference execution: fresh bus, full run from bit 0.
-CaseOutcome run_full_case(const SweepPlan& plan,
-                          const std::vector<std::pair<NodeId, int>>& flips) {
-  const ExhaustiveConfig& cfg = plan.cfg;
-  Network net(cfg.n_nodes, cfg.protocol);
-  ScriptedFaults inj;
+void inject_flips(ScriptedFaults& inj, const SweepPlan& plan,
+                  const std::vector<std::pair<NodeId, int>>& flips) {
   for (const auto& [node, pos] : flips) {
     inj.add(FaultTarget::at_time(
         node, static_cast<BitTime>(plan.eof_start + pos)));
   }
-  net.set_injector(inj);
-  net.node(0).enqueue(plan.frame);
+}
 
-  const bool quiet = net.run_until_quiet(kQuietBudget);
-  std::vector<int> deliveries(static_cast<std::size_t>(cfg.n_nodes), 0);
-  for (int i = 0; i < cfg.n_nodes; ++i) {
-    deliveries[static_cast<std::size_t>(i)] =
-        static_cast<int>(net.deliveries(i).size());
-  }
-  const int tx_success =
-      static_cast<int>(net.log().count(EventKind::TxSuccess, 0));
-  return classify(cfg.n_nodes, deliveries, tx_success, !quiet);
+/// Reference execution: fresh bus, full run from bit 0.
+ProbeCounts run_full_case(const SweepPlan& plan,
+                          const std::vector<std::pair<NodeId, int>>& flips) {
+  Network net(plan.n_nodes, plan.protocol);
+  ScriptedFaults inj;
+  inject_flips(inj, plan, flips);
+  net.set_injector(inj);
+  start_probe(net, plan, nullptr);
+  return finish_probe(net, nullptr, kQuietBudget);
 }
 
 // ---------------------------------------------------------------------------
-// dedup machinery: prefix template + tail memo
+// dedup machinery: tail memo over the shared prefix template
 // ---------------------------------------------------------------------------
 
-/// The clean-prefix template: a bus stepped (without faults) to t_first,
-/// plus the delivery/TxSuccess counts accumulated in that prefix (nonzero
-/// when the window starts after the frame's acceptance point).
-struct PrefixTemplate {
-  Network net;
-  std::vector<int> deliveries;
-  int tx_success = 0;
-
-  explicit PrefixTemplate(const SweepPlan& plan)
-      : net(plan.cfg.n_nodes, plan.cfg.protocol) {
-    net.node(0).enqueue(plan.frame);
-    while (net.sim().now() < plan.t_first) net.sim().step();
-    deliveries.assign(static_cast<std::size_t>(plan.cfg.n_nodes), 0);
-    for (int i = 0; i < plan.cfg.n_nodes; ++i) {
-      deliveries[static_cast<std::size_t>(i)] =
-          static_cast<int>(net.deliveries(i).size());
-    }
-    tx_success = static_cast<int>(net.log().count(EventKind::TxSuccess, 0));
-  }
-};
-
-/// What happens between the dedup cut and quiescence, as count deltas.
-struct TailDelta {
-  std::vector<int> deliveries;  ///< per node, relative to the cut
-  int tx_success = 0;
-  bool timeout = false;
-};
-
-/// Sharded exact-key memo of simulation tails.  Keys are the concatenated
+/// Sharded exact-key memo of simulation tails: what happens between the
+/// dedup cut and quiescence, as count deltas.  Keys are the concatenated
 /// append_state() digests of all nodes at t_cut — exact serializations, so
 /// equal keys mean bit-identical futures (no hash-collision risk: the map
 /// compares full keys on lookup).
 class TailMemo {
  public:
-  /// True + filled `out` on a hit.
-  bool lookup(const std::string& key, TailDelta& out) {
+  /// The memoized tail, or null.  Entries are never erased or modified
+  /// and unordered_map nodes are stable, so the pointer stays valid.
+  const ProbeCounts* find(const std::string& key) {
     Shard& s = shard(key);
     MutexLock lock(s.mu);
     const auto it = s.map.find(key);
-    if (it == s.map.end()) return false;
-    out = it->second;
-    return true;
+    return it == s.map.end() ? nullptr : &it->second;
   }
 
-  void insert(const std::string& key, const TailDelta& delta) {
+  void insert(const std::string& key, ProbeCounts delta) {
     Shard& s = shard(key);
     MutexLock lock(s.mu);
-    s.map.emplace(key, delta);
+    s.map.emplace(key, std::move(delta));
   }
 
   [[nodiscard]] std::size_t size() const {
@@ -236,7 +220,7 @@ class TailMemo {
  private:
   struct Shard {
     mutable Mutex mu;
-    std::unordered_map<std::string, TailDelta> map MCAN_GUARDED_BY(mu);
+    std::unordered_map<std::string, ProbeCounts> map MCAN_GUARDED_BY(mu);
   };
 
   Shard& shard(const std::string& key) {
@@ -252,66 +236,37 @@ class TailMemo {
 
 /// Dedup execution: clone the prefix, simulate only the flip window, then
 /// finish from the memoized tail (simulating it on a miss).
-CaseOutcome run_dedup_case(const SweepPlan& plan, const PrefixTemplate& tmpl,
+ProbeCounts run_dedup_case(const SweepPlan& plan, const PrefixState& tmpl,
                            TailMemo& memo, long long& memo_hits,
                            const std::vector<std::pair<NodeId, int>>& flips) {
-  const ExhaustiveConfig& cfg = plan.cfg;
-  const auto n = static_cast<std::size_t>(cfg.n_nodes);
-
-  Network net(cfg.n_nodes, cfg.protocol);
-  for (int i = 0; i < cfg.n_nodes; ++i) {
-    net.node(i).clone_runtime_state(tmpl.net.node(i));
-  }
-  net.sim().warp_to(plan.t_first);
-
+  Network net(plan.n_nodes, plan.protocol);
+  start_probe(net, plan, &tmpl);
   ScriptedFaults inj;
-  for (const auto& [node, pos] : flips) {
-    inj.add(FaultTarget::at_time(
-        node, static_cast<BitTime>(plan.eof_start + pos)));
-  }
+  inject_flips(inj, plan, flips);
   net.set_injector(inj);
 
   // Simulate the flip window: the only part whose evolution depends on
   // this specific case.
   while (net.sim().now() < plan.t_cut) net.sim().step();
 
-  // Counts accumulated inside the window (acceptance usually lands here).
-  std::vector<int> at_cut(n, 0);
-  for (int i = 0; i < cfg.n_nodes; ++i) {
-    at_cut[static_cast<std::size_t>(i)] =
-        static_cast<int>(net.deliveries(i).size());
-  }
-  const int tx_at_cut =
-      static_cast<int>(net.log().count(EventKind::TxSuccess, 0));
+  // Counts through the cut (acceptance usually lands in the window).
+  ProbeCounts counts = read_counts(net, &tmpl.counts);
 
   // Key the tail on the exact machine state of all nodes.
   std::string key;
   key.reserve(256);
-  for (int i = 0; i < cfg.n_nodes; ++i) net.node(i).append_state(key);
+  for (int i = 0; i < plan.n_nodes; ++i) net.node(i).append_state(key);
 
-  TailDelta delta;
-  if (memo.lookup(key, delta)) {
+  if (const ProbeCounts* tail = memo.find(key)) {
     ++memo_hits;
-  } else {
-    const bool quiet = net.run_until_quiet(kQuietBudget);
-    delta.deliveries.assign(n, 0);
-    for (int i = 0; i < cfg.n_nodes; ++i) {
-      delta.deliveries[static_cast<std::size_t>(i)] =
-          static_cast<int>(net.deliveries(i).size()) -
-          at_cut[static_cast<std::size_t>(i)];
-    }
-    delta.tx_success =
-        static_cast<int>(net.log().count(EventKind::TxSuccess, 0)) - tx_at_cut;
-    delta.timeout = !quiet;
-    memo.insert(key, delta);
+    counts += *tail;
+    return counts;
   }
-
-  std::vector<int> final_counts(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    final_counts[i] = tmpl.deliveries[i] + at_cut[i] + delta.deliveries[i];
-  }
-  const int tx_final = tmpl.tx_success + tx_at_cut + delta.tx_success;
-  return classify(cfg.n_nodes, final_counts, tx_final, delta.timeout);
+  ProbeCounts end = finish_probe(net, &tmpl.counts, kQuietBudget);
+  ProbeCounts tail = end;
+  tail -= counts;
+  memo.insert(key, std::move(tail));
+  return end;
 }
 
 // ---------------------------------------------------------------------------
@@ -372,6 +327,7 @@ struct WorkerTally {
   long long double_rx = 0;
   long long total_loss = 0;
   long long timeouts = 0;
+  long long violating = 0;
   long long enumerated = 0;
   long long simulated = 0;
   long long memo_hits = 0;
@@ -387,7 +343,7 @@ struct SharedState {
 };
 
 void run_worker(const ModelCheckConfig& mc, const SweepPlan& plan,
-                const PrefixTemplate* tmpl, TailMemo* memo,
+                const PrefixState* tmpl, TailMemo* memo,
                 SharedState& shared, const CheckProgressFn& progress,
                 WorkerTally& tally) {
   const int k = mc.base.errors;
@@ -431,23 +387,23 @@ void run_worker(const ModelCheckConfig& mc, const SweepPlan& plan,
         }
       }
 
-      CaseOutcome out;
-      if (mc.dedup) {
-        out = run_dedup_case(plan, *tmpl, *memo, tally.memo_hits, chosen);
-        ++tally.simulated;  // window simulated even on a memo hit
-      } else {
-        out = run_full_case(plan, chosen);
-        ++tally.simulated;
-      }
+      // The window is simulated even on a memo hit.
+      ++tally.simulated;
+      const ProbeCounts counts =
+          mc.dedup ? run_dedup_case(plan, *tmpl, *memo, tally.memo_hits, chosen)
+                   : run_full_case(plan, chosen);
+      const Verdict v = counts.verdict();
 
       tally.cases += weight;
-      if (out.imo) tally.imo += weight;
-      if (out.dup) tally.double_rx += weight;
-      if (out.loss) tally.total_loss += weight;
-      if (out.timeout) tally.timeouts += weight;
-      if (out.violation() &&
-          static_cast<int>(tally.examples.size()) < mc.max_examples) {
-        tally.examples.push_back({chosen, out.describe});
+      if (!v.violation()) return;
+      tally.violating += weight;
+      if (v.imo) tally.imo += weight;
+      if (v.dup) tally.double_rx += weight;
+      if (v.loss) tally.total_loss += weight;
+      if (v.timeout) tally.timeouts += weight;
+      if (static_cast<int>(tally.examples.size()) < mc.max_examples) {
+        tally.examples.push_back(
+            {chosen, describe_verdict(v, counts.deliveries, 0)});
       }
       return;
     }
@@ -497,12 +453,12 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
 
   const auto t0 = std::chrono::steady_clock::now();
 
-  PrefixTemplate* tmpl = nullptr;
+  PrefixState* tmpl = nullptr;
   TailMemo* memo = nullptr;
-  std::unique_ptr<PrefixTemplate> tmpl_owner;
+  std::unique_ptr<PrefixState> tmpl_owner;
   std::unique_ptr<TailMemo> memo_owner;
   if (cfg.dedup) {
-    tmpl_owner = std::make_unique<PrefixTemplate>(plan);
+    tmpl_owner = std::make_unique<PrefixState>(plan);
     memo_owner = std::make_unique<TailMemo>();
     tmpl = tmpl_owner.get();
     memo = memo_owner.get();
@@ -533,6 +489,7 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
     res.double_rx += t.double_rx;
     res.total_loss += t.total_loss;
     res.timeouts += t.timeouts;
+    res.violating += t.violating;
     res.stats.enumerated += t.enumerated;
     res.stats.simulated += t.simulated;
     res.stats.tail_memo_hits += t.memo_hits;
@@ -557,18 +514,9 @@ FlipCaseResult run_flip_case(const ProtocolParams& protocol, int n_nodes,
   cfg.protocol = protocol;
   cfg.n_nodes = n_nodes;
   cfg.errors = static_cast<int>(flips.size());
-  SweepPlan plan;
-  plan.cfg = cfg;
-  plan.frame = model_check_frame();
-  plan.eof_start = model_check_eof_start(protocol);
-  const CaseOutcome out = run_full_case(plan, flips);
-  FlipCaseResult res;
-  res.imo = out.imo;
-  res.dup = out.dup;
-  res.loss = out.loss;
-  res.timeout = out.timeout;
-  res.describe = out.describe;
-  return res;
+  const ProbeCounts counts = run_full_case(make_probe(cfg), flips);
+  const Verdict v = counts.verdict();
+  return {v, describe_verdict(v, counts.deliveries, 0)};
 }
 
 }  // namespace mcan

@@ -1,18 +1,28 @@
-// The model-checking engine: scalable bounded exhaustive verification.
+// The model-checking engine: scalable bounded exhaustive verification —
+// the "model checking" the paper left as future work, done on the
+// executable protocol model.
 //
-// run_exhaustive() (scenario/exhaustive.hpp) visits every k-combination of
-// view-flips and simulates each case from bit 0 to quiescence.  That is
-// the reference semantics, but it wastes nearly all of its work: every
-// case shares the same clean frame prefix, huge numbers of flip patterns
-// converge to identical machine states once the flip window has passed,
-// and any two cases that differ only by a permutation of the (identical)
-// receiver nodes are relabelings of each other.  This engine exploits all
-// three structures without changing what is counted:
+// For a given protocol, node count and error budget k, the engine visits
+// *every* combination of k view-flips over the (node x frame-tail-bit)
+// grid, runs the bus to quiescence and judges each case with the delivery
+// verdict (analysis/verdict.hpp).  Within the paper's scenario space this
+// is complete: if no pattern up to k errors violates agreement /
+// at-most-once, none exists (for that bus size and window).  Standard CAN
+// and MinorCAN produce concrete counterexample sets (the Fig. 1b/3a
+// patterns fall out automatically); MajorCAN_m must produce none up to
+// k = m.
+//
+// Simulating every case from bit 0 is the reference semantics
+// (ModelCheckConfig::reference()), but it wastes nearly all of its work:
+// every case shares the same clean frame prefix, huge numbers of flip
+// patterns converge to identical machine states once the flip window has
+// passed, and any two cases that differ only by a permutation of the
+// (identical) receiver nodes are relabelings of each other.  The engine
+// exploits all three structures without changing what is counted:
 //
 //   * prefix cloning — one template bus is stepped through the clean
 //     prefix once; each case starts from a cloned copy of its state
-//     (CanController::clone_runtime_state) with the simulator clock warped
-//     to the window start;
+//     (scenario/probe.hpp: PrefixState + clone_bus);
 //   * tail memoization — after the last possible flip the bus evolves
 //     deterministically, so the quiescence tail is keyed on the exact
 //     serialized machine state of all nodes (append_state) and each
@@ -24,22 +34,49 @@
 //     worker threads claim dynamically (cheap work stealing), so uneven
 //     subtree cost does not serialise the sweep.
 //
-// With jobs=1, dedup=false, symmetry=false the engine degenerates to the
-// reference enumerator (same visit order, same counts, same examples);
-// tests assert exact agreement of the optimised modes against it.
-// docs/MODEL_CHECKING.md carries the soundness argument for each
-// reduction.
+// The reference configuration (jobs=1, dedup=false, symmetry=false) has a
+// deterministic lexicographic visit order; tests assert exact agreement
+// of the optimised modes against it.  docs/MODEL_CHECKING.md carries the
+// soundness argument for each reduction.
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "frame/frame.hpp"
-#include "scenario/exhaustive.hpp"
+#include "scenario/probe.hpp"
 
 namespace mcan {
+
+struct ExhaustiveConfig {
+  ProtocolParams protocol;
+  int n_nodes = 3;
+  int errors = 2;      ///< exact number of flips per case
+  /// Window of EOF-relative positions to flip, inclusive on both ends.
+  /// Default [-4, auto] covers the tail, the EOF and the whole end-game.
+  int win_lo_rel = -4;
+  /// Upper window bound; disengaged = auto: 3m+5 for MajorCAN (covers the
+  /// whole end-game), EOF + intermission for the others.
+  std::optional<int> win_hi_rel;
+
+  /// The effective upper bound (resolves the auto default).
+  [[nodiscard]] int window_hi() const;
+
+  /// Throws std::invalid_argument on an unusable configuration: an empty
+  /// window (win_lo_rel > window_hi()), positions outside the end-game
+  /// horizon the EOF-relative grid is meaningful for, a window starting
+  /// before the probe frame itself, or degenerate node/error counts.
+  void validate() const;
+};
+
+struct Counterexample {
+  std::vector<std::pair<NodeId, int>> flips;  ///< (node, EOF-relative pos)
+  std::string outcome;                        ///< e.g. "IMO: deliveries 0 1"
+
+  [[nodiscard]] std::string to_string() const;
+};
 
 struct ModelCheckConfig {
   ExhaustiveConfig base;
@@ -63,6 +100,11 @@ struct ModelCheckConfig {
   /// How many concrete counterexamples to keep.
   int max_examples = 5;
 
+  /// The reference enumerator over `base`: one worker, no reductions,
+  /// every case simulated from bit 0 in lexicographic order.
+  [[nodiscard]] static ModelCheckConfig reference(const ExhaustiveConfig& base,
+                                                  int max_examples = 5);
+
   /// Throws std::invalid_argument on unusable values (delegates to
   /// base.validate() for the window checks).
   void validate() const;
@@ -82,16 +124,18 @@ struct ModelCheckResult {
   ExhaustiveConfig cfg;  ///< window bound resolved
   bool complete = true;  ///< false iff the max_cases budget cut the sweep
   long long cases = 0;   ///< flip patterns covered (orbit weights included)
+  /// Per-class counts; a case can fall in several classes (a total loss is
+  /// always an IMO too).
   long long imo = 0;
   long long double_rx = 0;
   long long total_loss = 0;
   long long timeouts = 0;
+  long long violating = 0;  ///< cases in at least one class
   std::vector<Counterexample> examples;
   ModelCheckStats stats;
 
-  [[nodiscard]] long long violations() const {
-    return imo + double_rx + total_loss + timeouts;
-  }
+  /// Violating cases, each counted once.
+  [[nodiscard]] long long violations() const { return violating; }
   [[nodiscard]] std::string summary() const;
 };
 
@@ -103,21 +147,13 @@ using CheckProgressFn = std::function<void(long long, long long)>;
     const ModelCheckConfig& cfg, const CheckProgressFn& progress = {});
 
 // ---------------------------------------------------------------------------
-// Single-case execution (shared with the counterexample minimizer and
-// tests): one concrete flip pattern, simulated in isolation with the
-// reference semantics.
+// Single-case execution (shared with the counterexample minimizer, the
+// attack optimizer and tests): one concrete flip pattern, simulated in
+// isolation with the reference semantics.
 // ---------------------------------------------------------------------------
 
-struct FlipCaseResult {
-  bool imo = false;
-  bool dup = false;
-  bool loss = false;
-  bool timeout = false;
+struct FlipCaseResult : Verdict {
   std::string describe;  ///< classification text ("IMO: deliveries 0 1")
-
-  [[nodiscard]] bool violation() const {
-    return imo || dup || loss || timeout;
-  }
 };
 
 /// Run one flip pattern (EOF-relative positions, same grid as the sweeps)
@@ -125,13 +161,5 @@ struct FlipCaseResult {
 [[nodiscard]] FlipCaseResult run_flip_case(
     const ProtocolParams& protocol, int n_nodes,
     const std::vector<std::pair<NodeId, int>>& flips);
-
-/// The probe frame every sweep transmits (also what .scn exports replay).
-[[nodiscard]] Frame model_check_frame();
-
-/// Absolute bit time of the probe frame's first EOF bit on a clean bus —
-/// the anchor that converts the sweeps' EOF-relative flip positions to the
-/// absolute times used by the injector and by .scn exports.
-[[nodiscard]] int model_check_eof_start(const ProtocolParams& protocol);
 
 }  // namespace mcan

@@ -9,9 +9,44 @@
 #include "analysis/prob_model.hpp"
 #include "analysis/properties.hpp"
 #include "analysis/tagged.hpp"
+#include "analysis/verdict.hpp"
 
 namespace mcan {
 namespace {
+
+TEST(Verdict, ReferenceSemantics) {
+  // All receivers have it: consistent.
+  EXPECT_FALSE(judge_delivery({1, 1, 1}, 0, 1, false, false).violation());
+  // One receiver lacks it: inconsistent omission.
+  EXPECT_TRUE(judge_delivery({1, 1, 0}, 0, 1, false, false).imo);
+  // Sender believes success, nobody has it: omission AND total loss.
+  {
+    const Verdict v = judge_delivery({0, 0, 0}, 0, 1, false, false);
+    EXPECT_TRUE(v.imo);
+    EXPECT_TRUE(v.loss);
+    EXPECT_EQ(describe_verdict(v, {0, 0, 0}, 0), "IMO: deliveries 0 0");
+  }
+  // ... unless the sender crashed: it no longer holds the frame.
+  EXPECT_FALSE(judge_delivery({0, 0, 0}, 0, 1, true, false).violation());
+  // Nothing delivered, sender never succeeded: no event.
+  EXPECT_FALSE(judge_delivery({0, 0, 0}, 0, 0, false, false).imo);
+  // A receiver delivered twice: duplicate.
+  {
+    const Verdict v = judge_delivery({0, 2, 1}, 0, 1, false, false);
+    EXPECT_TRUE(v.dup);
+    EXPECT_FALSE(v.imo);
+    EXPECT_EQ(describe_verdict(v, {0, 2, 1}, 0),
+              "double reception: deliveries 2 1");
+  }
+  // The sender's own entry never counts, wherever it sits.
+  EXPECT_FALSE(judge_delivery({1, 0, 1}, 1, 1, false, false).violation());
+  // Timeout poisons everything else.
+  const Verdict v = judge_delivery({0, 1, 0}, 0, 1, false, true);
+  EXPECT_TRUE(v.timeout);
+  EXPECT_FALSE(v.imo);
+  EXPECT_EQ(describe_verdict(v, {0, 1, 0}, 0), "TIMEOUT");
+  EXPECT_EQ(describe_verdict({}, {1, 1, 1}, 0), "");
+}
 
 TEST(ProbModel, Binomials) {
   EXPECT_DOUBLE_EQ(binom(5, 0), 1.0);

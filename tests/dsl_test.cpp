@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "scenario/dsl.hpp"
+#include "scenario/figures.hpp"
 
 namespace mcan {
 namespace {
@@ -103,6 +104,23 @@ TEST(Dsl, ShippedCorpusMeetsExpectations) {
         << res.expectation_text << " but got: " << res.outcome.summary();
     EXPECT_TRUE(res.outcome.faults_all_fired);
   }
+}
+
+TEST(Dsl, TotalLossReadsAsImo) {
+  // The attack optimizer's certified MajorCAN_3 witness: the sender logs
+  // TxSuccess and no receiver delivers.  That breaks validity, so the DSL
+  // must judge it as the model checker that certified it does: an IMO
+  // that is also a total loss.
+  ScenarioSpec spec = load_scenario_file(
+      std::string(MCAN_SCENARIO_DIR "/") + "attack_glitch_majorcan_3.scn");
+  spec.expect = Expectation::Imo;
+  const DslRunResult res = run_scenario(spec);
+  EXPECT_EQ(res.outcome.tx_success, 1);
+  const Verdict v = res.outcome.verdict();
+  EXPECT_TRUE(v.imo) << res.outcome.summary();
+  EXPECT_TRUE(v.loss) << res.outcome.summary();
+  EXPECT_TRUE(res.expectation_met) << res.outcome.summary();
+  EXPECT_NE(res.outcome.summary().find("(total loss)"), std::string::npos);
 }
 
 TEST(Dsl, MissingFileThrows) {

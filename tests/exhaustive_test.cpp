@@ -6,18 +6,18 @@
 
 #include <stdexcept>
 
-#include "scenario/exhaustive.hpp"
+#include "scenario/model_check.hpp"
 
 namespace {
 
 using namespace mcan;
 
-ExhaustiveResult verify(ProtocolParams proto, int errors) {
+ModelCheckResult verify(ProtocolParams proto, int errors) {
   ExhaustiveConfig cfg;
   cfg.protocol = proto;
   cfg.n_nodes = 3;
   cfg.errors = errors;
-  return run_exhaustive(cfg);
+  return run_model_check(ModelCheckConfig::reference(cfg));
 }
 
 TEST(Exhaustive, MajorCan3FullBudgetVerified) {
@@ -78,7 +78,7 @@ TEST(Exhaustive, CanTwoErrorImoPatternsAreExactlyFig3a) {
   cfg.protocol = ProtocolParams::standard_can();
   cfg.n_nodes = 3;
   cfg.errors = 2;
-  auto res = run_exhaustive(cfg, 1000);
+  auto res = run_model_check(ModelCheckConfig::reference(cfg, 1000));
 
   std::vector<Counterexample> imos;
   for (const Counterexample& ce : res.examples) {

@@ -275,10 +275,10 @@ TEST(FuzzTriage, DedupesAcrossGenomeVariants) {
   EXPECT_EQ(triaged[0].raw_count, 2);
   EXPECT_EQ(triaged[0].exec_index, 10u);
   EXPECT_TRUE(triaged[0].replay_ok);
-  // The legacy `expect imo` clause needs >= 2 receivers to describe a
-  // delivery split; the 2-node minimized genome keeps the oracle-neutral
-  // `expect any` instead.
-  EXPECT_EQ(triaged[0].spec.expect, Expectation::Any);
+  // The 2-node minimized genome is a total loss: the sender believes it
+  // succeeded and the lone receiver rejected.  The delivery verdict reads
+  // that as an IMO, so triage states the strongest clause, `expect imo`.
+  EXPECT_EQ(triaged[0].spec.expect, Expectation::Imo);
 
   const std::string text = export_finding(triaged[0], "unit test");
   EXPECT_NE(text.find("replay-verified"), std::string::npos);

@@ -63,17 +63,43 @@ TEST(ModelCheck, EveryReductionMatchesReference) {
   }
 }
 
-TEST(ModelCheck, ReferenceModeMatchesRunExhaustive) {
+TEST(ModelCheck, ReferenceModeMatchesReducedMode) {
   ExhaustiveConfig cfg;
   cfg.protocol = ProtocolParams::minor_can();
   cfg.n_nodes = 3;
   cfg.errors = 2;
-  const ExhaustiveResult old = run_exhaustive(cfg);
+  const ModelCheckResult ref =
+      run_model_check(ModelCheckConfig::reference(cfg));
   const auto eng = run_engine(ProtocolParams::minor_can(), 2, 1, true, true);
-  EXPECT_EQ(old.cases, eng.cases);
-  EXPECT_EQ(old.imo, eng.imo);
-  EXPECT_EQ(old.double_rx, eng.double_rx);
-  EXPECT_EQ(old.total_loss, eng.total_loss);
+  expect_same_counts(ref, eng, "reference vs dedup+symmetry");
+  EXPECT_EQ(ref.violations(), eng.violations());
+  EXPECT_EQ(ref.stats.symmetry_skips, 0);
+  EXPECT_EQ(ref.stats.tail_memo_hits, 0);
+}
+
+TEST(ModelCheck, TotalLossCountsAsOneViolation) {
+  // CAN on a 2-node bus, k=2 over EOF+5..EOF+6: six patterns.  The Fig. 3a
+  // pair {tx@EOF+6, rx@EOF+5} is a total loss (the sender believes success,
+  // the lone receiver rejected), which the verdict also counts as an IMO;
+  // the other three violating patterns are double receptions.
+  ExhaustiveConfig cfg;
+  cfg.protocol = ProtocolParams::standard_can();
+  cfg.n_nodes = 2;
+  cfg.errors = 2;
+  cfg.win_lo_rel = 5;
+  cfg.win_hi_rel = 6;
+  const ModelCheckResult r =
+      run_model_check(ModelCheckConfig::reference(cfg, 10));
+  EXPECT_EQ(r.cases, 6);
+  EXPECT_EQ(r.total_loss, 1) << r.summary();
+  EXPECT_EQ(r.imo, 1) << r.summary();
+  EXPECT_EQ(r.double_rx, 3) << r.summary();
+  EXPECT_EQ(r.violations(), 4) << "the total loss is one violating case";
+
+  const auto loss =
+      run_flip_case(ProtocolParams::standard_can(), 2, {{0, 6}, {1, 5}});
+  EXPECT_TRUE(loss.loss && loss.imo) << loss.describe;
+  EXPECT_EQ(loss.describe, "IMO: deliveries 0");
 }
 
 TEST(ModelCheck, StatsAccountForAllWork) {

@@ -1,6 +1,6 @@
 // Tests for the rare-event campaign engine (src/rare/): proposal profiles,
-// likelihood accounting, trial classification, the splitting engine, and
-// the campaign runner's determinism contracts (jobs-independence,
+// likelihood accounting, one verdict across engines, the splitting engine,
+// and the campaign runner's determinism contracts (jobs-independence,
 // checkpoint/resume byte-identity) plus its headline acceptance gate —
 // the empirical estimate agreeing with expression (4).
 #include <gtest/gtest.h>
@@ -12,7 +12,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "fault/scripted.hpp"
 #include "rare/campaign.hpp"
+#include "scenario/dsl.hpp"
+#include "scenario/minimize.hpp"
+#include "scenario/model_check.hpp"
 
 namespace mcan {
 namespace {
@@ -137,25 +141,76 @@ TEST(ProbePlan, MakeRejectsBadParameters) {
                std::invalid_argument);
 }
 
-TEST(ClassifyTrial, ReferenceSemantics) {
-  // All receivers have it: consistent.
-  EXPECT_FALSE(classify_trial(3, {1, 1, 1}, 1, false).imo);
-  // One receiver lacks it: inconsistent omission.
-  EXPECT_TRUE(classify_trial(3, {1, 1, 0}, 1, false).imo);
-  // Sender believes success, nobody has it: omission AND total loss.
-  {
-    const TrialOutcome out = classify_trial(3, {0, 0, 0}, 1, false);
-    EXPECT_TRUE(out.imo);
-    EXPECT_TRUE(out.loss);
+// --- One verdict across engines ---
+
+TEST(CrossEngine, TailSweepClassesAgree) {
+  // Every k <= 2 pattern of the model checker's tail window, run three
+  // ways: the model checker's single-case runner (full run from bit 0),
+  // the rare-event trial bus (cloned from the clean prefix, counts read as
+  // offsets on top of it) and the DSL runner on the exported .scn.  All
+  // three must give the same classes.
+  for (const ProtocolParams& proto :
+       {ProtocolParams::standard_can(), ProtocolParams::minor_can(),
+        ProtocolParams::major_can(3)}) {
+    ExhaustiveConfig cfg;
+    cfg.protocol = proto;
+    cfg.n_nodes = 3;
+    const int hi = cfg.window_hi();
+    BiasProfile bias;
+    bias.win_lo_rel = cfg.win_lo_rel;
+    bias.win_hi_rel = hi;
+    const ProbePlan plan = ProbePlan::make(proto, cfg.n_nodes, 1e-3, bias);
+    ASSERT_EQ(plan.t_first,
+              static_cast<BitTime>(plan.eof_start + cfg.win_lo_rel));
+    const PrefixState prefix(plan);
+
+    std::vector<std::pair<NodeId, int>> slots;
+    for (int n = 0; n < cfg.n_nodes; ++n) {
+      for (int pos = cfg.win_lo_rel; pos <= hi; ++pos) {
+        slots.emplace_back(static_cast<NodeId>(n), pos);
+      }
+    }
+    std::vector<std::vector<std::pair<NodeId, int>>> cases;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      cases.push_back({slots[i]});
+      for (std::size_t j = i + 1; j < slots.size(); ++j) {
+        cases.push_back({slots[i], slots[j]});
+      }
+    }
+    int violating = 0;
+    for (const auto& flips : cases) {
+      const FlipCaseResult direct = run_flip_case(proto, cfg.n_nodes, flips);
+      const Verdict want = direct;
+      if (want.violation()) ++violating;
+
+      std::unique_ptr<Network> net = make_trial_bus(plan, &prefix);
+      ScriptedFaults inj;
+      for (const auto& [node, pos] : flips) {
+        inj.add(FaultTarget::at_time(
+            node, static_cast<BitTime>(plan.eof_start + pos)));
+      }
+      net->set_injector(inj);
+      const Verdict trial =
+          finish_probe(*net, &prefix.counts, plan.quiet_budget).verdict();
+
+      MinimizedCounterexample ce;
+      ce.flips = flips;
+      const DslRunResult run = run_scenario(parse_scenario(
+          to_scenario_text(proto, cfg.n_nodes, ce, "cross-engine")));
+      Verdict dsl = run.outcome.verdict();
+      dsl.timeout = !run.quiesced;
+
+      const std::string tag =
+          proto.name() + " " +
+          Counterexample{flips, direct.describe}.to_string();
+      EXPECT_EQ(trial, want) << tag;
+      EXPECT_EQ(dsl, want) << tag << " / " << run.outcome.summary();
+    }
+    // The sweep's window holds violations for CAN and MinorCAN, none for
+    // MajorCAN_3 — the comparison is not vacuous.
+    EXPECT_EQ(violating > 0, proto.variant != Variant::MajorCan)
+        << proto.name();
   }
-  // Nothing delivered, sender never succeeded: no event.
-  EXPECT_FALSE(classify_trial(3, {0, 0, 0}, 0, false).imo);
-  // A receiver delivered twice: duplicate.
-  EXPECT_TRUE(classify_trial(3, {0, 2, 1}, 1, false).dup);
-  // Timeout poisons everything else.
-  const TrialOutcome out = classify_trial(3, {0, 1, 0}, 1, true);
-  EXPECT_TRUE(out.timeout);
-  EXPECT_FALSE(out.imo);
 }
 
 // --- Trial equivalence: cloning is an optimisation, not a model change ---
