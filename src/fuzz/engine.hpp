@@ -93,7 +93,8 @@ struct FuzzResult {
 // ---------------------------------------------------------------------------
 // Round-stepped campaign: the plan/execute/merge loop as an object.
 //
-// run_fuzz() is a thin driver over this class; the campaign orchestration
+// run_fuzz() drives this class with run_rounds() (util/parallel.hpp), the
+// round loop every campaign engine shares; the campaign orchestration
 // service (src/serve/) drives the same object with its worker fleet.  The
 // contract that makes both produce bit-identical results:
 //

@@ -101,9 +101,10 @@ struct RareResult {
 // ---------------------------------------------------------------------------
 // Round-stepped campaign: the plan/execute/merge loop as an object.
 //
-// run_campaign() is a thin driver over this class; the campaign
-// orchestration service (src/serve/) drives the same object with its
-// worker fleet.  execute_slot(i) is pure per slot (trial i draws only from
+// run_campaign() drives this class with run_rounds() (util/parallel.hpp)
+// and journals from its after-merge hook; the campaign orchestration
+// service (src/serve/) drives the same object with its worker fleet.
+// execute_slot(i) is pure per slot (trial i draws only from
 // its private Rng(seed, i) stream), so any set of threads may run any
 // subset of slots, in any order, even more than once — which is what lets
 // a dead worker's shard be requeued without perturbing the estimate.

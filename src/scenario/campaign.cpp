@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <thread>
+#include <vector>
 
 #include "analysis/tagged.hpp"
 #include "core/network.hpp"
@@ -11,6 +11,7 @@
 #include "fault/scripted.hpp"
 #include "frame/layout.hpp"
 #include "scenario/probe.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/text.hpp"
 
@@ -28,10 +29,12 @@ std::string CampaignResult::summary() const {
   return s;
 }
 
-CampaignResult run_eof_campaign(const CampaignConfig& cfg) {
-  return run_eof_campaign_range(cfg, 0, cfg.trials);
-}
+namespace {
 
+/// Run only trials [first, last) of the campaign.  Trial outcomes depend
+/// only on the trial index (each trial derives its RNG stream from
+/// cfg.seed + index), so any partition of the range merges to the same
+/// totals.
 CampaignResult run_eof_campaign_range(const CampaignConfig& cfg, int first,
                                       int last) {
   CampaignResult res;
@@ -107,29 +110,26 @@ CampaignResult run_eof_campaign_range(const CampaignConfig& cfg, int first,
   return res;
 }
 
+}  // namespace
+
+CampaignResult run_eof_campaign(const CampaignConfig& cfg) {
+  return run_eof_campaign_range(cfg, 0, cfg.trials);
+}
+
 CampaignResult run_eof_campaign_parallel(const CampaignConfig& cfg,
                                          unsigned threads) {
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(
-                                            std::max(1, cfg.trials)));
-  if (threads <= 1) return run_eof_campaign(cfg);
-
-  std::vector<CampaignResult> parts(threads);
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  const int per = cfg.trials / static_cast<int>(threads);
-  const int extra = cfg.trials % static_cast<int>(threads);
-  int next = 0;
-  for (unsigned w = 0; w < threads; ++w) {
-    const int count = per + (static_cast<int>(w) < extra ? 1 : 0);
-    const int first = next;
-    const int last = next + count;
-    next = last;
-    workers.emplace_back([&parts, w, &cfg, first, last] {
-      parts[w] = run_eof_campaign_range(cfg, first, last);
-    });
-  }
-  for (std::thread& t : workers) t.join();
+  const int jobs = std::min(resolve_jobs(static_cast<int>(threads)),
+                            std::max(1, cfg.trials));
+  // One contiguous partition of the trial range per worker.
+  std::vector<CampaignResult> parts(static_cast<std::size_t>(jobs));
+  const int per = cfg.trials / jobs;
+  const int extra = cfg.trials % jobs;
+  parallel_for(parts.size(), jobs, [&](std::size_t w) {
+    const int p = static_cast<int>(w);
+    const int first = p * per + std::min(p, extra);
+    const int last = first + per + (p < extra ? 1 : 0);
+    parts[w] = run_eof_campaign_range(cfg, first, last);
+  });
 
   CampaignResult res;
   res.cfg = cfg;

@@ -55,13 +55,6 @@ struct CampaignResult {
 
 [[nodiscard]] CampaignResult run_eof_campaign(const CampaignConfig& cfg);
 
-/// Run only trials [first, last) of the campaign — the unit of work the
-/// parallel runner distributes.  Trial outcomes depend only on the trial
-/// index (each trial derives its RNG stream from cfg.seed + index), so any
-/// partition of the range merges to the same totals.
-[[nodiscard]] CampaignResult run_eof_campaign_range(const CampaignConfig& cfg,
-                                                    int first, int last);
-
 /// Same campaign, trials distributed over `threads` worker threads
 /// (0 = hardware concurrency).  Results are identical to the serial run.
 [[nodiscard]] CampaignResult run_eof_campaign_parallel(

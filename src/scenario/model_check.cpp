@@ -7,12 +7,12 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 
 #include "core/network.hpp"
 #include "fault/scripted.hpp"
 #include "util/mutex.hpp"
+#include "util/parallel.hpp"
 
 namespace mcan {
 
@@ -87,9 +87,6 @@ ModelCheckConfig ModelCheckConfig::reference(const ExhaustiveConfig& base,
 
 void ModelCheckConfig::validate() const {
   base.validate();
-  if (jobs < 0) {
-    throw std::invalid_argument("model check: jobs must be >= 0 (0 = auto)");
-  }
   if (max_cases < 0) {
     throw std::invalid_argument("model check: max_cases must be >= 0");
   }
@@ -321,7 +318,10 @@ long long orbit_weight(const std::vector<std::pair<NodeId, int>>& flips,
 // the sweep driver
 // ---------------------------------------------------------------------------
 
-struct WorkerTally {
+/// The tally of one first-flip subtree.  Built on the worker's stack and
+/// stored once when the subtree ends, so workers never share a cache line
+/// on the per-case path.
+struct SubtreeTally {
   long long cases = 0;
   long long imo = 0;
   long long double_rx = 0;
@@ -336,16 +336,18 @@ struct WorkerTally {
 };
 
 struct SharedState {
-  std::atomic<long long> next_first{0};     ///< first-slot task queue
   std::atomic<long long> enumerated{0};     ///< global progress counter
   std::atomic<long long> checked{0};        ///< cases charged to the budget
   std::atomic<bool> stop{false};            ///< budget exhausted
 };
 
-void run_worker(const ModelCheckConfig& mc, const SweepPlan& plan,
-                const PrefixState* tmpl, TailMemo* memo,
-                SharedState& shared, const CheckProgressFn& progress,
-                WorkerTally& tally) {
+/// Visit every k-combination whose first slot is `first`, in lexicographic
+/// order.
+SubtreeTally run_subtree(const ModelCheckConfig& mc, const SweepPlan& plan,
+                         const PrefixState* tmpl, TailMemo* memo,
+                         SharedState& shared, const CheckProgressFn& progress,
+                         long long first) {
+  SubtreeTally tally;
   const int k = mc.base.errors;
   const auto n_slots = static_cast<long long>(plan.slots.size());
   std::vector<std::pair<NodeId, int>> chosen;
@@ -415,16 +417,12 @@ void run_worker(const ModelCheckConfig& mc, const SweepPlan& plan,
     }
   };
 
-  for (;;) {
-    if (shared.stop.load(std::memory_order_relaxed)) break;
-    const long long first =
-        shared.next_first.fetch_add(1, std::memory_order_relaxed);
-    if (first > n_slots - k) break;
-    chosen.clear();
+  if (!shared.stop.load(std::memory_order_relaxed)) {
     chosen.push_back(plan.slots[static_cast<std::size_t>(first)]);
     recurse(first + 1);
   }
   if (since_progress > 0) note_progress(since_progress);
+  return tally;
 }
 
 }  // namespace
@@ -440,16 +438,11 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
         " flip slots of the window");
   }
 
-  int jobs = cfg.jobs;
-  if (jobs == 0) {
-    jobs = static_cast<int>(std::thread::hardware_concurrency());
-    if (jobs < 1) jobs = 1;
-  }
-  // Never spawn more workers than first-slot subtrees.
-  const auto subtrees =
-      static_cast<long long>(plan.slots.size()) - cfg.base.errors + 1;
-  jobs = static_cast<int>(
-      std::min<long long>(jobs, std::max<long long>(subtrees, 1)));
+  // One task per first-slot subtree, one tally per task, merged in task
+  // order: counts and kept examples are the same for every jobs value.
+  const std::size_t subtrees = plan.slots.size() -
+                               static_cast<std::size_t>(cfg.base.errors) + 1;
+  const int jobs = resolve_jobs(cfg.jobs);
 
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -465,25 +458,16 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
   }
 
   SharedState shared;
-  std::vector<WorkerTally> tallies(static_cast<std::size_t>(jobs));
-  if (jobs == 1) {
-    run_worker(cfg, plan, tmpl, memo, shared, progress, tallies[0]);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(jobs));
-    for (int j = 0; j < jobs; ++j) {
-      threads.emplace_back([&, j] {
-        run_worker(cfg, plan, tmpl, memo, shared, progress,
-                   tallies[static_cast<std::size_t>(j)]);
-      });
-    }
-    for (std::thread& th : threads) th.join();
-  }
+  std::vector<SubtreeTally> tallies(subtrees);
+  parallel_for(subtrees, jobs, [&](std::size_t first) {
+    tallies[first] = run_subtree(cfg, plan, tmpl, memo, shared, progress,
+                                 static_cast<long long>(first));
+  });
 
   ModelCheckResult res;
   res.cfg = plan.cfg;
   res.complete = !shared.stop.load();
-  for (const WorkerTally& t : tallies) {
+  for (const SubtreeTally& t : tallies) {
     res.cases += t.cases;
     res.imo += t.imo;
     res.double_rx += t.double_rx;
@@ -501,7 +485,9 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
     }
   }
   res.stats.distinct_tails = memo ? memo->size() : 0;
-  res.stats.jobs = jobs;
+  // Never more workers than first-slot subtrees.
+  res.stats.jobs = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(jobs), subtrees));
   res.stats.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

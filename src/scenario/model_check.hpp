@@ -30,9 +30,10 @@
 //   * symmetry reduction — receiver nodes are interchangeable, so only a
 //     canonical representative per receiver-permutation orbit is run and
 //     its outcome is counted with the orbit size as weight;
-//   * work distribution — first-flip subtrees form a shared queue that
-//     worker threads claim dynamically (cheap work stealing), so uneven
-//     subtree cost does not serialise the sweep.
+//   * work distribution — each first-flip subtree is one parallel_for
+//     task (util/parallel.hpp) that worker threads claim dynamically
+//     (cheap work stealing), so uneven subtree cost does not serialise
+//     the sweep; per-subtree tallies merge in subtree order.
 //
 // The reference configuration (jobs=1, dedup=false, symmetry=false) has a
 // deterministic lexicographic visit order; tests assert exact agreement
@@ -81,8 +82,11 @@ struct Counterexample {
 struct ModelCheckConfig {
   ExhaustiveConfig base;
 
-  /// Worker threads; 0 = one per hardware thread.  jobs=1 runs inline
-  /// (deterministic example order).
+  /// Worker threads; 0 = one per hardware thread (resolve_jobs).  Each
+  /// first-flip subtree is one task and the tallies merge in subtree
+  /// order, so on a complete sweep the counts and the kept examples are
+  /// identical for every value; a max_cases-bounded sweep explores a
+  /// schedule-dependent prefix when jobs > 1.  jobs=1 runs inline.
   int jobs = 0;
 
   /// Tail memoization + prefix cloning.

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "sim/kernel.hpp"
@@ -97,6 +98,12 @@ bool parse_sweep_args(int argc, char** argv, SweepOptions& opt,
       opt.n_nodes = static_cast<int>(v);
     } else if (a == "--jobs" || a == "-j") {
       if (!need_int(i, a, v)) return false;
+      if (v < 0 || v > std::numeric_limits<int>::max()) {
+        error = "--jobs: '" + std::string(argv[i]) +
+                "' is out of range (want 0 = one per hardware thread, or a"
+                " thread count that fits in an int)";
+        return false;
+      }
       opt.jobs = static_cast<int>(v);
     } else if (a == "--budget") {
       if (!need_int(i, a, v)) return false;

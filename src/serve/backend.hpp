@@ -2,7 +2,8 @@
 //
 // The fuzz, rare-event and model-check engines all run the same
 // plan/execute/merge round discipline (fuzz/engine.hpp explains why that
-// makes worker count irrelevant to results).  A CampaignBackend exposes
+// makes worker count irrelevant to results; util/parallel.hpp's
+// run_rounds is the local driver of that loop).  A CampaignBackend exposes
 // exactly that loop, plus a checkpoint/restore pair and a deterministic
 // result rendering, so the scheduler (serve/queue.hpp) can drive any
 // campaign kind with one code path:

@@ -7,11 +7,15 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "analysis/coverage.hpp"
+#include "attack/optimize.hpp"
 #include "core/fsm_coverage.hpp"
 #include "scenario/minimize.hpp"
 #include "scenario/model_check.hpp"
+#include "scenario/sweep_cli.hpp"
 
 namespace {
 
@@ -127,6 +131,35 @@ TEST(ModelCheck, MajorCan5UpToThreeErrorsVerifiedWithReductions) {
   EXPECT_EQ(r.violations(), 0) << r.summary();
 }
 
+TEST(ModelCheck, ExamplesIndependentOfJobs) {
+  // One tally per first-flip subtree, merged in subtree order: a complete
+  // sweep keeps the same examples (and so the attack optimizer the same
+  // budget witness) at every worker count.
+  const ProtocolParams major3 = ProtocolParams::major_can(3);
+  const auto ref = run_engine(major3, 4, 1, true, true);
+  ASSERT_TRUE(ref.complete);
+  ASSERT_FALSE(ref.examples.empty());
+  BudgetProbeOptions opt;
+  opt.heuristics = false;
+  opt.jobs = 1;
+  const BudgetProbe ref_probe = probe_budget(major3, 3, 4, opt);
+  ASSERT_TRUE(ref_probe.violation);
+  for (int run = 0; run < 3; ++run) {
+    const std::string tag = "jobs=4 run " + std::to_string(run);
+    const auto par = run_engine(major3, 4, 4, true, true);
+    expect_same_counts(ref, par, tag);
+    ASSERT_EQ(par.examples.size(), ref.examples.size()) << tag;
+    for (std::size_t i = 0; i < ref.examples.size(); ++i) {
+      EXPECT_EQ(par.examples[i].flips, ref.examples[i].flips) << tag;
+      EXPECT_EQ(par.examples[i].outcome, ref.examples[i].outcome) << tag;
+    }
+    opt.jobs = 4;
+    const BudgetProbe probe = probe_budget(major3, 3, 4, opt);
+    EXPECT_EQ(probe.witness, ref_probe.witness) << tag;
+    EXPECT_EQ(probe.witness_desc, ref_probe.witness_desc) << tag;
+  }
+}
+
 // --- budget -----------------------------------------------------------------
 
 TEST(ModelCheck, BudgetBoundsTheSweep) {
@@ -180,6 +213,35 @@ TEST(ModelCheck, RejectsNegativeJobs) {
   mc.base.protocol = ProtocolParams::standard_can();
   mc.jobs = -1;
   EXPECT_THROW((void)run_model_check(mc), std::invalid_argument);
+}
+
+/// parse_sweep_args over `args` (argv[0] is supplied).
+bool parse_args(std::vector<std::string> args, SweepOptions& opt,
+                std::string& error) {
+  args.insert(args.begin(), "mcan-test");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  std::vector<std::string> rest;
+  return parse_sweep_args(static_cast<int>(argv.size()), argv.data(), opt,
+                          rest, error);
+}
+
+TEST(SweepArgs, JobsIsValidatedWhereItEnters) {
+  SweepOptions opt;
+  std::string error;
+  ASSERT_TRUE(parse_args({"--jobs", "0"}, opt, error)) << error;
+  EXPECT_EQ(opt.jobs, 0);
+  ASSERT_TRUE(parse_args({"-j", "4"}, opt, error)) << error;
+  EXPECT_EQ(opt.jobs, 4);
+  // Negative, past int, and past long long: each rejected by name, never
+  // narrowed.
+  for (const char* bad : {"-3", "4294967297", "99999999999999999999"}) {
+    SweepOptions o;
+    error.clear();
+    EXPECT_FALSE(parse_args({"--jobs", bad}, o, error)) << bad;
+    EXPECT_NE(error.find("--jobs"), std::string::npos) << bad << ": " << error;
+    EXPECT_EQ(o.jobs, 0) << bad;
+  }
 }
 
 // --- single-case runner and minimizer ---------------------------------------
